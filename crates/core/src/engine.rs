@@ -81,7 +81,7 @@ use crate::algo::peel::Plan;
 use crate::algo::{self, Algorithm, Threads};
 use crate::decomposition::{Community, Decomposition};
 use crate::hierarchy::BitrussHierarchy;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, UpdateHistogram};
 use crate::persist::binary::{
     read_snapshot, read_snapshot_file, write_snapshot, write_snapshot_file,
 };
@@ -190,6 +190,9 @@ impl EngineBuilder {
     /// algorithm that peels through the BE-Index kernel honours it —
     /// BiT-BU, BiT-BU+, BiT-BU++, BiT-BU#, BiT-BU++/P, BiT-PC and the
     /// budgeted run; the BiT-BS variants and BiT-BU++2P ignore it.
+    /// [`EngineBuilder::build`] rejects bounds that are not strictly
+    /// ascending or number more than
+    /// [`MAX_HISTOGRAM_BOUNDS`](crate::metrics::MAX_HISTOGRAM_BOUNDS).
     pub fn histogram_bounds(mut self, bounds: Vec<u64>) -> Self {
         self.histogram_bounds = Some(bounds);
         self
@@ -253,7 +256,8 @@ impl EngineBuilder {
     ///
     /// [`Error::Cancelled`] when the observer cancels the run, or
     /// [`Error::Invariant`] for invalid configurations (e.g.
-    /// [`EngineBuilder::threads`] with a non-parallel algorithm).
+    /// [`EngineBuilder::threads`] with a non-parallel algorithm, or
+    /// invalid [`EngineBuilder::histogram_bounds`]).
     pub fn build(self, graph: BipartiteGraph) -> Result<BitrussEngine<'static>> {
         self.run(SessionGraph::Shared(Arc::new(graph)))
     }
@@ -288,6 +292,9 @@ impl EngineBuilder {
 
     fn run(self, graph: SessionGraph<'_>) -> Result<BitrussEngine<'_>> {
         let algorithm = self.effective_algorithm()?;
+        if let Some(bounds) = &self.histogram_bounds {
+            UpdateHistogram::check_bounds(bounds)?;
+        }
         if self.memory_budget.is_some() {
             if algorithm != Algorithm::BuPlusPlus {
                 return Err(Error::Invariant(format!(
@@ -599,26 +606,29 @@ impl<'g> BitrussEngine<'g> {
     }
 
     /// The hierarchy index, building and caching it on first use.
-    /// Subsequent calls are lock-free reads.
+    /// Subsequent calls are lock-free reads. Concurrent first callers
+    /// share one build: one runs it, the others wait for its result.
     ///
     /// # Errors
     ///
     /// [`Error::Cancelled`] when the session's observer cancels the
     /// build.
     pub fn hierarchy(&self) -> Result<&BitrussHierarchy> {
-        if self.hierarchy.get().is_none() {
-            let observer = &*self.observer;
-            checkpoint(observer)?;
-            observer.on_phase_start(Phase::HierarchyBuild, self.graph.get().num_edges() as u64);
-            let h = BitrussHierarchy::new(self.graph.get(), &self.decomposition)?;
-            observer.on_phase_end(Phase::HierarchyBuild);
-            // A concurrent caller may have won the race; first write wins
-            // and both results are identical.
-            let _ = self.hierarchy.set(h);
+        if let Some(h) = self.hierarchy.get() {
+            return Ok(h);
         }
-        self.hierarchy
-            .get()
-            .ok_or_else(|| Error::Invariant("hierarchy cache empty after initialization".into()))
+        let observer = &*self.observer;
+        checkpoint(observer)?;
+        let g = self.graph.get();
+        // Every session's φ holds one entry per edge: the builder runs
+        // the decomposition on `g`, snapshots are validated on load and
+        // `replace_state` checks the lengths.
+        Ok(self.hierarchy.get_or_init(|| {
+            observer.on_phase_start(Phase::HierarchyBuild, g.num_edges() as u64);
+            let h = BitrussHierarchy::build(g, &self.decomposition.phi);
+            observer.on_phase_end(Phase::HierarchyBuild);
+            h
+        }))
     }
 
     /// The number of edges in the k-bitruss, in `O(log L)`.
@@ -701,21 +711,23 @@ impl<'g> BitrussEngine<'g> {
                 let Some(e) = g.edge_between(g.upper(upper as u32), g.lower(lower as u32)) else {
                     return Ok(QueryAnswer::NoSuchEdge { upper, lower, k });
                 };
+                // The reply is three counts: read them off the community's
+                // root node instead of materializing the community.
                 let h = self.hierarchy()?;
-                match h.community_of(g, e, k) {
+                match h.community_size(e, k) {
                     None => Ok(QueryAnswer::NotInTruss {
                         upper,
                         lower,
                         k,
                         phi: h.phi_of(e),
                     }),
-                    Some(c) => Ok(QueryAnswer::Community {
+                    Some(size) => Ok(QueryAnswer::Community {
                         upper,
                         lower,
                         k,
-                        num_upper: c.upper_members(g).count(),
-                        num_lower: c.lower_members(g).count(),
-                        num_edges: c.edges.len(),
+                        num_upper: size.num_upper,
+                        num_lower: size.num_lower,
+                        num_edges: size.num_edges,
                     }),
                 }
             }
@@ -1299,6 +1311,45 @@ mod tests {
                 session.k_bitruss_edges(k).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn racing_first_pins_share_one_hierarchy_build() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+
+        #[derive(Default)]
+        struct BuildCounter(AtomicUsize);
+        impl EngineObserver for BuildCounter {
+            fn on_phase_start(&self, phase: Phase, _total: u64) {
+                if phase == Phase::HierarchyBuild {
+                    // Relaxed: a plain event counter, read after the joins.
+                    self.0.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+
+        let g = datagen::powerlaw::chung_lu(300, 300, 6_000, 2.1, 2.1, 4);
+        let counter = Arc::new(BuildCounter::default());
+        let session = BitrussEngine::builder()
+            .progress(counter.clone())
+            .build(g)
+            .unwrap();
+        let readers = 4;
+        let barrier = Barrier::new(readers);
+        let built: Vec<&BitrussHierarchy> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..readers)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        session.hierarchy().unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(counter.0.load(Ordering::Relaxed), 1);
+        assert!(built.iter().all(|&h| std::ptr::eq(h, built[0])));
     }
 
     #[test]

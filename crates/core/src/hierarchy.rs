@@ -10,6 +10,8 @@
 //! * [`BitrussHierarchy::k_bitruss_count`] in `O(log L)`,
 //! * [`BitrussHierarchy::k_bitruss_edges`] in `O(log L + |answer| log |answer|)`
 //!   (the log factor only for returning edges in ascending-id order),
+//! * [`BitrussHierarchy::community_size`] with one ancestor walk —
+//!   `O(1)` at `k = φ(e)`, `O(L)` at worst — and no materialization,
 //! * [`BitrussHierarchy::community_of`] and
 //!   [`BitrussHierarchy::communities`] output-sensitively — only the
 //!   forest nodes and edges of the answer are visited,
@@ -33,10 +35,21 @@
 //!    below the highest ancestor whose level is still `≥ k`, and its
 //!    edge set is the union of the owned edges in that subtree.
 //!
+//! Each node also carries the size of the community it roots: the edges,
+//! upper vertices and lower vertices of its subtree. Edge counts are the
+//! owned-edge counts summed up the tree. Vertex counts need no set
+//! union: each vertex `v` is counted once, at its *owner* — the node
+//! owning an incident edge of φ = `max_k(v)`. All of `v`'s edges at that
+//! level share one component of `H_{max_k(v)}`, hence one owner node, and
+//! every component of a lower `H_k` that contains `v` is an ancestor of
+//! it. So summing children into parents (children have smaller node ids)
+//! counts `v` exactly in the communities that contain it.
+//!
 //! The forest is the in-memory analogue of the tree-shaped community
 //! indexes used for output-sensitive community search over cohesion
 //! hierarchies; it persists inside [`crate::persist::binary`] snapshots
-//! so a query server never rebuilds it.
+//! so a query server never rebuilds it. The subtree sizes are derived
+//! data: recomputed in `O(n + m)` on build and on load, never persisted.
 
 use std::collections::BTreeMap;
 
@@ -50,6 +63,19 @@ const NONE: u32 = u32::MAX;
 
 /// Sentinel in `vertex_max_k` for vertices with no incident edge.
 const ISOLATED: u64 = u64::MAX;
+
+/// The size of one k-bitruss community, as a `community` query reports
+/// it: equal to the counts of the [`Community`] that
+/// [`BitrussHierarchy::community_of`] materializes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CommunitySize {
+    /// Upper-layer member vertices.
+    pub num_upper: usize,
+    /// Lower-layer member vertices.
+    pub num_lower: usize,
+    /// Member edges.
+    pub num_edges: usize,
+}
 
 /// A queryable index over a graph's bitruss decomposition: the φ-sorted
 /// edge permutation plus the nested community forest (see the module
@@ -103,6 +129,9 @@ pub struct BitrussHierarchy {
     /// CSR child lists, derived from [`Self::node_parent`].
     child_offsets: Vec<usize>,
     children: Vec<u32>,
+    /// Per node: `[edges, upper vertices, lower vertices]` of its
+    /// subtree, derived by [`derive_subtree_sizes`].
+    subtree_sizes: Vec<[u32; 3]>,
 }
 
 impl BitrussHierarchy {
@@ -114,7 +143,12 @@ impl BitrussHierarchy {
     /// array length differs from the edge count).
     pub fn new(g: &BipartiteGraph, d: &Decomposition) -> Result<Self> {
         check_matching(g, d)?;
-        let phi = &d.phi;
+        Ok(Self::build(g, &d.phi))
+    }
+
+    /// [`BitrussHierarchy::new`] for a φ array already known to hold one
+    /// entry per edge of `g`.
+    pub(crate) fn build(g: &BipartiteGraph, phi: &[u64]) -> Self {
         let m = phi.len();
         let n = g.num_vertices() as usize;
 
@@ -249,7 +283,8 @@ impl BitrussHierarchy {
         }
 
         let (child_offsets, children) = derive_children(&node_parent);
-        Ok(Self {
+        let subtree_sizes = derive_subtree_sizes(g, &node_parent, &node_edge_offsets, &edge_node);
+        Self {
             levels,
             count_ge,
             perm,
@@ -261,17 +296,17 @@ impl BitrussHierarchy {
             vertex_max_k,
             child_offsets,
             children,
-        })
+            subtree_sizes,
+        }
     }
 
     /// Reassembles a hierarchy from its persisted arrays, validating
     /// every structural invariant so corrupt snapshots surface as
-    /// [`Error::Corrupt`] instead of panics. `m`/`n` are the edge and
-    /// vertex counts of the graph the hierarchy claims to describe.
+    /// [`Error::Corrupt`] instead of panics. `g` is the graph the
+    /// hierarchy claims to describe.
     #[allow(clippy::too_many_arguments)] // one argument per persisted section
     pub(crate) fn from_parts(
-        m: usize,
-        n: usize,
+        g: &BipartiteGraph,
         levels: Vec<u64>,
         count_ge: Vec<usize>,
         perm: Vec<u32>,
@@ -283,6 +318,8 @@ impl BitrussHierarchy {
         vertex_max_k: Vec<u64>,
     ) -> Result<Self> {
         let corrupt = |msg: String| Err(Error::Corrupt(msg));
+        let m = g.num_edges() as usize;
+        let n = g.num_vertices() as usize;
         let nodes = node_level.len();
         if perm.len() != m || node_edge_ids.len() != m || edge_node.len() != m {
             return corrupt(format!(
@@ -337,13 +374,19 @@ impl BitrussHierarchy {
                 }
             }
         }
-        let mut seen = vec![false; m];
-        for &e in &perm {
-            if e as usize >= m || std::mem::replace(&mut seen[e as usize], true) {
-                return corrupt("edge permutation is not a permutation".into());
+        for (ids, what) in [
+            (&perm, "edge permutation"),
+            (&node_edge_ids, "node→edge list"),
+        ] {
+            let mut seen = vec![false; m];
+            for &e in ids {
+                if e as usize >= m || std::mem::replace(&mut seen[e as usize], true) {
+                    return corrupt(format!("{what} is not a permutation"));
+                }
             }
         }
         let (child_offsets, children) = derive_children(&node_parent);
+        let subtree_sizes = derive_subtree_sizes(g, &node_parent, &node_edge_offsets, &edge_node);
         Ok(Self {
             levels,
             count_ge,
@@ -356,6 +399,7 @@ impl BitrussHierarchy {
             vertex_max_k,
             child_offsets,
             children,
+            subtree_sizes,
         })
     }
 
@@ -478,12 +522,11 @@ impl BitrussHierarchy {
         }
     }
 
-    /// The connected component of the k-bitruss containing `e`, or
-    /// `None` when `φ(e) < k` (or `e` is out of range). Output-sensitive:
-    /// walks up the forest to the shallowest ancestor still at level
-    /// `≥ k` and collects its subtree. The returned [`Community`] is
-    /// identical to the one [`Decomposition::communities`] would list.
-    pub fn community_of(&self, g: &BipartiteGraph, e: EdgeId, k: u64) -> Option<Community> {
+    /// The forest node rooting the k-bitruss community of `e`: the
+    /// highest ancestor of `e`'s owner still at level `≥ k`. `None` when
+    /// `φ(e) < k` or `e` is out of range. At `k = φ(e)` the owner itself
+    /// is the root (parents have strictly lower levels).
+    fn community_root(&self, e: EdgeId, k: u64) -> Option<u32> {
         if e.index() >= self.edge_node.len() || self.phi_of(e) < k {
             return None;
         }
@@ -491,11 +534,35 @@ impl BitrussHierarchy {
         loop {
             let p = self.node_parent[nd as usize];
             if p == NONE || self.node_level[p as usize] < k {
-                break;
+                return Some(nd);
             }
             nd = p;
         }
-        Some(self.collect_community(g, nd))
+    }
+
+    /// The connected component of the k-bitruss containing `e`, or
+    /// `None` when `φ(e) < k` (or `e` is out of range). Output-sensitive:
+    /// walks up the forest to the shallowest ancestor still at level
+    /// `≥ k` and collects its subtree. The returned [`Community`] is
+    /// identical to the one [`Decomposition::communities`] would list.
+    pub fn community_of(&self, g: &BipartiteGraph, e: EdgeId, k: u64) -> Option<Community> {
+        self.community_root(e, k)
+            .map(|root| self.collect_community(g, root))
+    }
+
+    /// The size of [`BitrussHierarchy::community_of`]'s answer without
+    /// materializing it: one ancestor walk to the community's root node,
+    /// whose subtree sizes are precomputed. `O(1)` at `k = φ(e)`, `O(L)`
+    /// at worst.
+    pub fn community_size(&self, e: EdgeId, k: u64) -> Option<CommunitySize> {
+        self.community_root(e, k).map(|root| {
+            let [edges, upper, lower] = self.subtree_sizes[root as usize];
+            CommunitySize {
+                num_upper: upper as usize,
+                num_lower: lower as usize,
+                num_edges: edges as usize,
+            }
+        })
     }
 
     /// All connected communities of the k-bitruss, largest first —
@@ -553,6 +620,7 @@ impl BitrussHierarchy {
             + self.vertex_max_k.len() * 8
             + self.child_offsets.len() * 8
             + self.children.len() * 4
+            + self.subtree_sizes.len() * 12
     }
 }
 
@@ -577,6 +645,49 @@ fn derive_children(node_parent: &[u32]) -> (Vec<usize>, Vec<u32>) {
         }
     }
     (offsets, children)
+}
+
+/// Subtree sizes of every forest node, `[edges, upper, lower]` (see the
+/// module docs for why each vertex is counted once, at its owner node).
+/// One pass over the edges finds each vertex's owner — the node of an
+/// incident edge at the highest level, which is the smallest such node
+/// id since levels do not increase with the id — and one ascending pass
+/// over the nodes adds children into parents, whose ids are larger.
+fn derive_subtree_sizes(
+    g: &BipartiteGraph,
+    node_parent: &[u32],
+    node_edge_offsets: &[usize],
+    edge_node: &[u32],
+) -> Vec<[u32; 3]> {
+    let mut sizes: Vec<[u32; 3]> = node_edge_offsets
+        .windows(2)
+        .map(|w| [(w[1] - w[0]) as u32, 0, 0])
+        .collect();
+    let mut owner = vec![NONE; g.num_vertices() as usize];
+    for (e, &nd) in edge_node.iter().enumerate() {
+        let (u, v) = g.edge(EdgeId(e as u32));
+        for x in [u.index(), v.index()] {
+            // `NONE` is `u32::MAX`, so the first incident edge replaces it.
+            owner[x] = owner[x].min(nd);
+        }
+    }
+    for (x, &nd) in owner.iter().enumerate() {
+        if nd != NONE {
+            let layer = if g.is_upper(VertexId(x as u32)) { 1 } else { 2 };
+            sizes[nd as usize][layer] += 1;
+        }
+    }
+    for nd in 0..sizes.len() {
+        let p = node_parent[nd];
+        if p != NONE {
+            let [edges, upper, lower] = sizes[nd];
+            let parent = &mut sizes[p as usize];
+            parent[0] += edges;
+            parent[1] += upper;
+            parent[2] += lower;
+        }
+    }
+    sizes
 }
 
 #[cfg(test)]

@@ -78,7 +78,7 @@ pub use engine::{
     BitrussEngine, EngineBuilder, EngineObserver, HierarchyMode, NoopObserver, Phase, Query,
     QueryAnswer,
 };
-pub use hierarchy::BitrussHierarchy;
+pub use hierarchy::{BitrussHierarchy, CommunitySize};
 pub use kbitruss::k_bitruss;
 pub use metrics::{Metrics, UpdateHistogram};
 pub use partition::{

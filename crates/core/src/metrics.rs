@@ -7,7 +7,11 @@
 
 use std::time::Duration;
 
-use bigraph::EdgeId;
+use bigraph::{EdgeId, Error, Result};
+
+/// Most bucket bounds an [`UpdateHistogram`] takes: the bucket of each
+/// edge is stored as a `u8`, and `n` bounds make `n + 1` buckets.
+pub const MAX_HISTOGRAM_BOUNDS: usize = 254;
 
 /// Histogram of support updates bucketed by each edge's *original*
 /// butterfly support — Figure 7's "number of updates per range of original
@@ -24,11 +28,43 @@ pub struct UpdateHistogram {
 }
 
 impl UpdateHistogram {
+    /// Checks bucket bounds: strictly ascending, and at most
+    /// [`MAX_HISTOGRAM_BOUNDS`] of them.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Invariant`] naming the first violation.
+    pub(crate) fn check_bounds(bounds: &[u64]) -> Result<()> {
+        if let Some(w) = bounds.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(Error::Invariant(format!(
+                "histogram bounds must ascend strictly, got {} then {}",
+                w[0], w[1]
+            )));
+        }
+        if bounds.len() > MAX_HISTOGRAM_BOUNDS {
+            return Err(Error::Invariant(format!(
+                "{} histogram bounds, at most {MAX_HISTOGRAM_BOUNDS} are supported",
+                bounds.len()
+            )));
+        }
+        Ok(())
+    }
+
     /// Creates a histogram with the given bucket bounds over edges whose
     /// original supports are `original_supports`.
+    ///
+    /// # Panics
+    ///
+    /// When `bounds` do not ascend strictly or number more than
+    /// [`MAX_HISTOGRAM_BOUNDS`];
+    /// [`EngineBuilder::build`](crate::EngineBuilder::build) checks them
+    /// first and returns the error instead.
     pub fn new(bounds: Vec<u64>, original_supports: &[u64]) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
-        debug_assert!(bounds.len() < 255, "too many buckets");
+        // Unsorted bounds would bucket silently wrong, and too many would
+        // wrap the u8 bucket index, so the check holds in release too.
+        if let Err(e) = Self::check_bounds(&bounds) {
+            panic!("{e}"); // xtask:allow(no-panic-lib) the engine rejects invalid bounds with a typed error before any run; a direct caller gets a panic rather than a silently wrong histogram
+        }
         let bucket_of_edge = original_supports
             .iter()
             .map(|&s| bounds.partition_point(|&b| b <= s) as u8)
@@ -197,9 +233,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bounds must ascend")]
-    fn unsorted_bounds_panic() {
-        UpdateHistogram::new(vec![10, 5], &[1, 2]);
+    fn invalid_bounds_are_rejected_by_the_builder() {
+        let g = bigraph::GraphBuilder::new()
+            .add_edges([(0, 0), (0, 1), (1, 0), (1, 1)])
+            .build()
+            .unwrap();
+        let too_many: Vec<u64> = (0..=MAX_HISTOGRAM_BOUNDS as u64).collect();
+        for bounds in [vec![10, 5], vec![5, 5], too_many] {
+            let err = crate::BitrussEngine::builder()
+                .histogram_bounds(bounds.clone())
+                .build_borrowed(&g)
+                .unwrap_err();
+            assert!(matches!(err, Error::Invariant(_)), "{bounds:?}: {err}");
+        }
+        let most: Vec<u64> = (0..MAX_HISTOGRAM_BOUNDS as u64).collect();
+        let session = crate::BitrussEngine::builder()
+            .histogram_bounds(most)
+            .build_borrowed(&g)
+            .unwrap();
+        let histogram = session.metrics().unwrap().histogram.as_ref().unwrap();
+        assert_eq!(histogram.counts().len(), MAX_HISTOGRAM_BOUNDS + 1);
     }
 
     #[test]

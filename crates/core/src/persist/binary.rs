@@ -545,8 +545,7 @@ fn parse_hierarchy(
     let edge_node = r_vec_u32(r, m)?;
     let vertex_max_k = r_vec_u64(r, n)?;
     let h = BitrussHierarchy::from_parts(
-        m,
-        n,
+        graph,
         levels,
         count_ge,
         perm,

@@ -117,9 +117,9 @@ pub use bitruss_core::{
     decompose, decompose_observed, k_bitruss, read_decomposition, read_snapshot,
     read_snapshot_file, tip_decomposition, write_decomposition, write_snapshot,
     write_snapshot_file, Algorithm, BandPartition, BitrussEngine, BitrussHierarchy, Community,
-    Decomposition, EngineBuilder, EngineObserver, HierarchyMode, MemoryReport, Metrics,
-    NoopObserver, ParseAlgorithmError, Phase, Query, QueryAnswer, Snapshot, StitchLog, Threads,
-    TipLayer, DEFAULT_TAU,
+    CommunitySize, Decomposition, EngineBuilder, EngineObserver, HierarchyMode, MemoryReport,
+    Metrics, NoopObserver, ParseAlgorithmError, Phase, Query, QueryAnswer, Snapshot, StitchLog,
+    Threads, TipLayer, DEFAULT_TAU,
 };
 pub use bitruss_core::{
     write_bytes_atomic, write_bytes_atomic_std, Fault, JournalBatch, JournalOp, MemVfs,

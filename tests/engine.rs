@@ -263,3 +263,77 @@ fn observer_sees_ordered_phases() {
         "expected progress ticks on a 2.5k-edge graph"
     );
 }
+
+/// `community` replies read three counts off the hierarchy forest; they
+/// must render byte-identically to the reply built from the materialized
+/// community, for every edge at k ∈ {0, 1, φ/2, φ, φ+1} and for vertex
+/// pairs with no edge between them.
+#[test]
+fn community_replies_match_the_materialized_community() {
+    use bitruss::QueryAnswer;
+
+    let fig1 = bitruss::GraphBuilder::new()
+        .add_edges([
+            (0, 0),
+            (0, 1),
+            (1, 0),
+            (1, 1),
+            (2, 0),
+            (2, 1),
+            (2, 2),
+            (2, 3),
+            (3, 1),
+            (3, 2),
+            (3, 4),
+        ])
+        .build()
+        .unwrap();
+    let chung_lu = bitruss::workloads::powerlaw::chung_lu(40, 40, 400, 1.9, 1.9, 3);
+    for g in [fig1, chung_lu] {
+        let session = BitrussEngine::builder().build_borrowed(&g).unwrap();
+        let (mut not_in_truss, mut no_such_edge) = (0, 0);
+        for u in 0..g.num_upper() {
+            for v in 0..g.num_lower() {
+                let line_for = |k| session.query_line(&format!("community {u} {v} {k}"));
+                let Some(e) = g.edge_between(g.upper(u), g.lower(v)) else {
+                    let want = QueryAnswer::NoSuchEdge {
+                        upper: u.into(),
+                        lower: v.into(),
+                        k: 1,
+                    };
+                    assert_eq!(line_for(1).unwrap(), Some(want.to_string()));
+                    no_such_edge += 1;
+                    continue;
+                };
+                let phi = session.phi()[e.index()];
+                for k in [0, 1, phi / 2, phi, phi + 1] {
+                    let want = match session.community_of(e, k).unwrap() {
+                        None => {
+                            not_in_truss += 1;
+                            QueryAnswer::NotInTruss {
+                                upper: u.into(),
+                                lower: v.into(),
+                                k,
+                                phi,
+                            }
+                        }
+                        Some(c) => QueryAnswer::Community {
+                            upper: u.into(),
+                            lower: v.into(),
+                            k,
+                            num_upper: c.upper_members(&g).count(),
+                            num_lower: c.lower_members(&g).count(),
+                            num_edges: c.edges.len(),
+                        },
+                    };
+                    assert_eq!(
+                        line_for(k).unwrap(),
+                        Some(want.to_string()),
+                        "({u}, {v}) k={k}"
+                    );
+                }
+            }
+        }
+        assert!(not_in_truss > 0 && no_such_edge > 0);
+    }
+}

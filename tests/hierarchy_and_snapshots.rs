@@ -3,8 +3,9 @@
 //! every query identically to the `Decomposition` rescans it replaces,
 //! and that snapshot corruption is always detected.
 
+use bitruss::graph::BipartiteGraph;
 use bitruss::graph::GraphBuilder;
-use bitruss::{decompose, Algorithm, BitrussHierarchy, Community};
+use bitruss::{decompose, Algorithm, BitrussHierarchy, Community, CommunitySize, EdgeId};
 use proptest::prelude::*;
 
 /// Sorts a community list into a canonical order: both implementations
@@ -12,6 +13,16 @@ use proptest::prelude::*;
 fn canon(mut cs: Vec<Community>) -> Vec<Community> {
     cs.sort_by_key(|c| c.edges[0]);
     cs
+}
+
+/// The counts of a materialized community, as a `community` query
+/// reports them.
+fn size_of(g: &BipartiteGraph, c: &Community) -> CommunitySize {
+    CommunitySize {
+        num_upper: c.upper_members(g).count(),
+        num_lower: c.lower_members(g).count(),
+        num_edges: c.edges.len(),
+    }
 }
 
 proptest! {
@@ -44,6 +55,7 @@ proptest! {
 
         let mut ks: Vec<u64> = d.levels();
         ks.extend(d.levels().iter().map(|k| k + 1));
+        ks.extend(d.levels().iter().map(|k| k / 2));
         ks.push(0);
         ks.sort_unstable();
         ks.dedup();
@@ -62,7 +74,14 @@ proptest! {
             for e in g.edges() {
                 let direct = h.community_of(&g, e, k);
                 let scanned = scans.iter().find(|c| c.edges.contains(&e)).cloned();
-                prop_assert_eq!(direct, scanned, "community_of k={} e={}", k, e);
+                prop_assert_eq!(&direct, &scanned, "community_of k={} e={}", k, e);
+                prop_assert_eq!(
+                    h.community_size(e, k),
+                    direct.as_ref().map(|c| size_of(&g, c)),
+                    "community_size k={} e={}",
+                    k,
+                    e
+                );
             }
         }
 
@@ -97,7 +116,19 @@ proptest! {
                 canon(h.communities(&snap.graph, k)),
                 canon(h2.communities(&snap.graph, k))
             );
+            for e in g.edges() {
+                let size = h2.community_size(e, k);
+                prop_assert_eq!(size, h.community_size(e, k), "k={} e={}", k, e);
+                prop_assert_eq!(
+                    size,
+                    h2.community_of(&snap.graph, e, k).map(|c| size_of(&snap.graph, &c)),
+                    "k={} e={}",
+                    k,
+                    e
+                );
+            }
         }
+        prop_assert_eq!(h2.community_size(EdgeId(g.num_edges()), 0), None);
     }
 
     /// Randomized corruption never panics and never yields a wrong
