@@ -174,8 +174,8 @@ impl FromStr for Algorithm {
 
 /// Dispatches one observed run; the single place every entry point —
 /// the engine, [`decompose`], [`decompose_observed`] — funnels through.
-/// The histogram bounds apply to every algorithm but the BiT-BS variants
-/// and BiT-BU++2P, which peel outside the BE-Index kernel.
+/// The histogram bounds apply to every algorithm but the BiT-BS
+/// variants, which peel without a BE-Index.
 pub(crate) fn run_algorithm(
     g: &BipartiteGraph,
     algorithm: Algorithm,
@@ -197,10 +197,14 @@ pub(crate) fn run_algorithm(
             histogram_bounds,
             observer,
         ),
-        Algorithm::BuPlusPlusTwoPhase { threads } => {
-            crate::partition::bit_bu_pp_2p_run(g, threads, DEFAULT_NUM_BANDS, observer)
-                .map(|(d, m, _)| (d, m))
-        }
+        Algorithm::BuPlusPlusTwoPhase { threads } => crate::partition::bit_bu_pp_2p_run(
+            g,
+            threads,
+            DEFAULT_NUM_BANDS,
+            histogram_bounds,
+            observer,
+        )
+        .map(|(d, m, _)| (d, m)),
         Algorithm::Pc { tau } => pc::run(g, tau, histogram_bounds, observer),
     }
 }

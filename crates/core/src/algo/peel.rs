@@ -56,8 +56,6 @@ use crate::metrics::Metrics;
 /// Minimum phase-2 work (wedge slots across the batch's touched blooms)
 /// before the bloom traversal is fanned out to worker threads. Below it
 /// the per-batch `thread::scope` spawn overhead outweighs the traversal.
-/// Shared with the two-phase engine's coarse partition scan, whose
-/// sub-rounds fan out the same way.
 pub(crate) const PAR_BATCH_MIN_WORK: usize = 4096;
 
 /// How the kernel peels: the two switches of the §V-B ablation plus the
@@ -428,7 +426,7 @@ impl<S: Settle> Kernel<'_, S> {
 
 /// Adds `by` to `e`'s aggregated delta, listing `e` on its first touch.
 #[inline]
-fn bump(delta: &mut [u64], touched: &mut Vec<u32>, e: EdgeId, by: u64) {
+pub(crate) fn bump(delta: &mut [u64], touched: &mut Vec<u32>, e: EdgeId, by: u64) {
     if delta[e.index()] == 0 {
         touched.push(e.0);
     }
@@ -442,7 +440,7 @@ fn bump(delta: &mut [u64], touched: &mut Vec<u32>, e: EdgeId, by: u64) {
 /// path (`start = 0, stride = 1`, global buffer) and each parallel worker
 /// (`start = worker, stride = threads`, thread-local buffer) share it —
 /// one body, one set of filter rules.
-pub(crate) fn accumulate_bloom_deltas(
+fn accumulate_bloom_deltas(
     index: &BeIndex,
     c: &[u32],
     blooms: &[u32],

@@ -187,9 +187,10 @@ impl EngineBuilder {
 
     /// Enables the per-original-support update histogram (Figure 7
     /// instrumentation) with the given ascending bucket bounds. Every
-    /// algorithm that peels through the BE-Index kernel honours it —
-    /// BiT-BU, BiT-BU+, BiT-BU++, BiT-BU#, BiT-BU++/P, BiT-PC and the
-    /// budgeted run; the BiT-BS variants and BiT-BU++2P ignore it.
+    /// algorithm that peels a BE-Index honours it — BiT-BU, BiT-BU+,
+    /// BiT-BU++, BiT-BU#, BiT-BU++/P, BiT-BU++2P (coarse scan and band
+    /// peels), BiT-PC and the budgeted run; the BiT-BS variants ignore
+    /// it.
     /// [`EngineBuilder::build`] rejects bounds that are not strictly
     /// ascending or number more than
     /// [`MAX_HISTOGRAM_BOUNDS`](crate::metrics::MAX_HISTOGRAM_BOUNDS).
@@ -1190,9 +1191,20 @@ mod tests {
         ] {
             assert!(histogram(alg).is_some(), "{alg}");
         }
-        // BiT-BS and BiT-BU++2P peel outside the kernel.
+        // BiT-BU++2P tallies its coarse scan and every band peel per
+        // thread; the merged buckets cannot depend on the thread count.
+        let two_phase = histogram(Algorithm::BuPlusPlusTwoPhase {
+            threads: Threads(1),
+        })
+        .unwrap();
+        for t in [2, 3, 8] {
+            let at = Algorithm::BuPlusPlusTwoPhase {
+                threads: Threads(t),
+            };
+            assert_eq!(histogram(at).unwrap(), two_phase, "threads {t}");
+        }
+        // BiT-BS peels without a BE-Index.
         assert!(histogram(Algorithm::BsIntersection).is_none());
-        assert!(histogram(Algorithm::two_phase_auto()).is_none());
     }
 
     #[test]

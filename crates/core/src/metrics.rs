@@ -80,7 +80,24 @@ impl UpdateHistogram {
     /// Records one update to a (global) edge.
     #[inline]
     pub fn record(&mut self, e: EdgeId) {
-        self.counts[self.bucket_of_edge[e.index()] as usize] += 1;
+        let bucket = self.bucket(e);
+        self.counts[bucket] += 1;
+    }
+
+    /// The bucket of (global) edge `e`. A thread that cannot share the
+    /// histogram mutably tallies its updates per bucket and hands the
+    /// tally to [`UpdateHistogram::add_counts`].
+    #[inline]
+    pub(crate) fn bucket(&self, e: EdgeId) -> usize {
+        self.bucket_of_edge[e.index()] as usize
+    }
+
+    /// Adds per-bucket update counts tallied against
+    /// [`UpdateHistogram::bucket`].
+    pub(crate) fn add_counts(&mut self, counts: &[u64]) {
+        for (total, &n) in self.counts.iter_mut().zip(counts) {
+            *total += n;
+        }
     }
 
     /// The bucket bounds.
@@ -121,10 +138,15 @@ pub struct Metrics {
     /// Time spent constructing BE-Indexes (zero for BiT-BS).
     pub index_time: Duration,
     /// Time spent peeling (removal operations and queue work). For the
-    /// two-phase engine this is the per-band peel (its phase 2).
+    /// two-phase engine this is the critical-path tail of its band
+    /// peels: from the end of the coarse scan until the last band is
+    /// peeled. Band peels that overlap the scan count in
+    /// [`Metrics::partition_time`].
     pub peeling_time: Duration,
-    /// Time spent in the coarse band-partitioning scan (the two-phase
-    /// engine's phase 1; zero for every other algorithm).
+    /// Time spent in the coarse band-partitioning scan, on the calling
+    /// thread (the two-phase engine's phase 1, while band workers
+    /// already peel the bands it released; zero for every other
+    /// algorithm).
     pub partition_time: Duration,
     /// Time spent stitching per-band φ results and settling boundary
     /// migrations (the two-phase engine only; zero otherwise).
@@ -149,10 +171,13 @@ pub struct Metrics {
     /// Worker threads the peeling phase can fan out to (0 = sequential
     /// engine; light batches run inline even when this is > 1).
     pub peeling_threads: usize,
-    /// Thread-local scratch allocated by the parallel peeling engine, in
-    /// bytes (0 until a batch is heavy enough to fan out). Reported
-    /// separately from [`Metrics::peak_index_bytes`] so the parallel
-    /// engine's true memory footprint stays visible next to the index's.
+    /// Scratch allocated beside the index by the parallel engines, in
+    /// bytes. BiT-BU++/P: its thread-local phase-2 buffers (0 until a
+    /// batch is heavy enough to fan out). BiT-BU++2P: the coarse scan's
+    /// own state, every band job it queued and each band worker's
+    /// scratch. Reported separately from [`Metrics::peak_index_bytes`]
+    /// so the engine's true memory footprint stays visible next to the
+    /// index's.
     pub scratch_bytes: usize,
     /// Dynamic maintenance only: edges the affected-region analyzer
     /// marked for re-peeling (0 for full decomposition runs).

@@ -1,33 +1,44 @@
 //! BiT-BU++2P — two-phase partition-parallel peeling (RECEIPT/PBNG
-//! style).
+//! style), pipelined.
 //!
 //! The per-batch fork/join of BiT-BU++/P
 //! ([`Algorithm::BuPlusPlusPar`](crate::Algorithm::BuPlusPlusPar))
 //! synchronizes workers at every support level; on graphs with many
 //! small batches the joins dominate and two threads can run *slower*
-//! than one. This module replaces per-batch fan-out with two coarse
-//! phases separated by a single barrier:
+//! than one. This module replaces per-batch fan-out with a coarse scan
+//! that assigns φ *bands* and independent per-band peels, and overlaps
+//! the two:
 //!
-//! 1. **Partition** ([`Phase::Partition`]): one coarse bottom-up scan
-//!    splits the φ range into `P` contiguous *bands*
-//!    `(t₀, t₁], (t₁, t₂], …` chosen from support quantiles, and assigns
-//!    every edge its band by running the peeling fixpoint to each
-//!    threshold in turn. Removing every edge with support ≤ t leaves the
-//!    maximal subgraph in which all supports exceed t, so the edges
-//!    removed while working towards threshold `t_p` are **exactly**
-//!    `{e : t_{p−1} < φ(e) ≤ t_p}` — band assignment is not a heuristic.
-//!    The scan records each band edge's *entry support* (its butterfly
-//!    support in the residual graph `G_p` at the moment band `p`
-//!    started) as the seed for phase 2.
-//! 2. **Band peel** ([`Phase::Peeling`]): every band is peeled
-//!    independently with partition-local state — a local bucket queue
-//!    over the band's edges, local delta buffers, and per-band BE-Index
-//!    *slices* (each bloom's wedges pre-sorted by band so a band worker
-//!    traverses only wedges still alive at its band's start). Workers
-//!    pull whole bands off a shared counter; there is **no
-//!    cross-partition synchronization** — higher-band edges are
-//!    read-only context and lower-band edges are already gone from the
-//!    slices.
+//! 1. **Partition** ([`Phase::Partition`]): the calling thread runs one
+//!    coarse bottom-up scan inline. It splits the φ range into `P`
+//!    contiguous bands `(t₀, t₁], (t₁, t₂], …` chosen from support
+//!    quantiles, and assigns every edge its band by running the peeling
+//!    fixpoint to each threshold in turn. Removing every edge with
+//!    support ≤ t leaves the maximal subgraph in which all supports
+//!    exceed t, so the edges removed while working towards threshold
+//!    `t_p` are **exactly** `{e : t_{p−1} < φ(e) ≤ t_p}` — band
+//!    assignment is not a heuristic. The scan keeps its own wedge-alive
+//!    bits, bloom sizes and residual-edge bits, so the [`BeIndex`] stays
+//!    read-only and shared.
+//! 2. **Band peel** ([`Phase::Peeling`]): as soon as the scan passes
+//!    `t_p` it hands band `p` to a pool of `threads − 1` band workers as
+//!    one *band job*, cut from the scan itself: the band's member edges
+//!    with their *entry supports* (butterfly supports in the residual
+//!    graph `G_p` at band `p`'s start), the wedges the scan killed while
+//!    in band `p` grouped by bloom, and each such bloom's wedge count
+//!    `k` at band start. A worker peels the band with partition-local
+//!    state — a local bucket queue over the band's edges, local delta
+//!    buffers, local wedge and edge stamps — while the scan moves on to
+//!    band `p + 1`. Once the scan releases the top band (everything
+//!    above the last threshold) the calling thread joins the pool. There
+//!    is **no cross-partition synchronization** inside a band:
+//!    higher-band edges are read-only context and lower-band edges are
+//!    gone.
+//!
+//! The calling thread reports [`Phase::Partition`] around the scan and
+//! [`Phase::Peeling`] around the tail after it; band peels that overlap
+//! the scan report progress only, so phase events stay nested on one
+//! thread.
 //!
 //! A final **stitch** pass ([`Phase::Stitch`]) merges the per-band φ
 //! fragments and validates the *band invariant*: every edge's φ must lie
@@ -47,14 +58,18 @@
 //! φ(e) ≤ true support). During the levels of band `p` the global peel
 //! removes only band-`p` edges, so the support trajectories of band-`p`
 //! edges depend only on `G_p`'s topology and the band's own removals —
-//! both of which the band worker reproduces: entry supports come from
-//! the partition scan, bloom sizes at band start equal the count of
-//! wedges whose *both* members sit in bands ≥ p (the sorted slice
-//! prefix), and the worker then replays Algorithm 5's batch accounting
-//! with the aggregated one-write-per-edge deltas of BiT-BU#. The
-//! `max(MBS, ·)` clamp composes across merged writes, so the resulting
-//! φ is bit-identical to sequential BiT-BU++ for every thread count and
-//! every band count.
+//! and the band job carries both. Entry supports are the scan's exact
+//! supports at band start. A wedge's band is `min(band(e1), band(e2))`:
+//! the scan kills it when its first member leaves, so the wedges it
+//! killed while in band `p` are exactly the wedges of `G_p` with a
+//! band-`p` member — the only wedges a band-`p` removal can kill, and the
+//! only ones holding an edge the band tracks. The `k` a bloom had at the
+//! band's first kill in it is its wedge count in `G_p`, because the scan
+//! lowers `k` only after a sub-round's kills. The worker then replays
+//! Algorithm 5's batch accounting with the aggregated one-write-per-edge
+//! deltas of BiT-BU#. The `max(MBS, ·)` clamp composes across merged
+//! writes, so the resulting φ is bit-identical to sequential BiT-BU++
+//! for every thread count and every band count.
 //!
 //! Because a band worker never tracks supports of higher-band edges,
 //! the hub-edge write traffic that dominates the sequential peel (low
@@ -65,7 +80,9 @@
 //! (Missing-docs enforcement moved to the crate root — see
 //! `missing-docs-parity` in docs/LINTS.md.)
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cmp::Reverse;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use beindex::{BeIndex, BloomId, WedgeId};
@@ -73,16 +90,16 @@ use bigraph::progress::{checkpoint, EngineObserver, Phase};
 use bigraph::{BipartiteGraph, EdgeId, Result};
 use butterfly::{count_per_edge_parallel_observed, Threads};
 
-use crate::algo::peel::{accumulate_bloom_deltas, PAR_BATCH_MIN_WORK};
+use crate::algo::peel::bump;
 use crate::bucket_queue::BucketQueue;
 use crate::decomposition::Decomposition;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, UpdateHistogram};
 use crate::repeel::repeel_region;
 
 /// Default number of φ bands the partition scan aims for. Constant (not
 /// a function of the thread count) so φ *and* `support_updates` are
 /// identical across thread counts; 16 bands load-balance up to ~8
-/// workers through the shared band counter.
+/// workers through the band queue.
 pub const DEFAULT_NUM_BANDS: usize = 16;
 
 /// One edge the stitch pass found outside its assigned band (never
@@ -164,13 +181,14 @@ pub fn bit_bu_pp_2p_with_outcome(
     num_bands: usize,
     observer: &dyn EngineObserver,
 ) -> Result<(Decomposition, Metrics, BandPartition)> {
-    bit_bu_pp_2p_run(g, threads, num_bands, observer)
+    bit_bu_pp_2p_run(g, threads, num_bands, None, observer)
 }
 
 pub(crate) fn bit_bu_pp_2p_run(
     g: &BipartiteGraph,
     threads: Threads,
     num_bands: usize,
+    histogram_bounds: Option<&[u64]>,
     observer: &dyn EngineObserver,
 ) -> Result<(Decomposition, Metrics, BandPartition)> {
     // Cap workers at the machine's parallelism: the engine is CPU-bound
@@ -193,68 +211,80 @@ pub(crate) fn bit_bu_pp_2p_run(
     metrics.counting_time = t0.elapsed();
 
     let t1 = Instant::now();
-    let mut index = BeIndex::build_parallel_observed(g, Threads(t), observer)?;
+    let index = BeIndex::build_parallel_observed(g, Threads(t), observer)?;
     metrics.index_time = t1.elapsed();
     metrics.peak_index_bytes = index.memory_bytes();
+    // Built here but filled only after the pool is done: until then the
+    // workers read its bucket map and tally into their own counts.
+    let histogram = histogram_bounds.map(|b| UpdateHistogram::new(b.to_vec(), &counts.per_edge));
 
-    // Phase 1: coarse threshold peeling assigns every edge a band.
+    // Phase 1 on the calling thread, phase 2 on the pool as bands are
+    // released; the calling thread joins the pool after the top band.
     let t2 = Instant::now();
     observer.on_phase_start(Phase::Partition, m as u64);
     let bounds = band_bounds(&counts.per_edge, num_bands);
     let nb = bounds.len() + 1;
     metrics.bands = nb;
-    let mut coarse_scratch_bytes = 0usize;
-    let coarse = coarse_partition(
-        &mut index,
-        counts.per_edge,
-        &bounds,
-        t,
-        observer,
-        &mut coarse_scratch_bytes,
-    )?;
-    // Per-band BE-Index slices: each bloom's wedges sorted by band so a
-    // band worker traverses only wedges alive at its band's start.
-    let slices = BandSlices::build(&index, &coarse.band);
-    metrics.partition_time = t2.elapsed();
-    metrics.support_updates += coarse.updates;
-    observer.on_phase_end(Phase::Partition);
-
-    // Phase 2: peel every band with partition-local state.
-    let t3 = Instant::now();
-    observer.on_phase_start(Phase::Peeling, m as u64);
-    let mut band_edges: Vec<Vec<u32>> = vec![Vec::new(); nb];
-    for e in 0..m {
-        band_edges[coarse.band[e] as usize].push(e as u32);
-    }
+    let workers = t.min(nb);
     let ctx = BandContext {
         index: &index,
-        band: &coarse.band,
-        band_edges: &band_edges,
-        start_supp: &coarse.start_supp,
-        slices: &slices,
+        histogram: histogram.as_ref(),
         popped: AtomicU64::new(0),
         total: m as u64,
         observer,
     };
-    let (per_band, band_updates, peel_scratch_bytes) = peel_bands(&ctx, &coarse.work, t)?;
-    metrics.peeling_time = t3.elapsed();
-    metrics.support_updates += band_updates;
-    metrics.scratch_bytes = coarse_scratch_bytes.max(peel_scratch_bytes + slices.memory_bytes());
-    observer.on_phase_end(Phase::Peeling);
+    let queue = BandQueue::default();
+    let scan = CoarseScan::new(&index, counts.per_edge, observer, histogram.as_ref());
+    let (scan, peeled, tallies) = std::thread::scope(|scope| -> Result<_> {
+        // Wakes idle workers with `failed` on every way out of this
+        // closure, so an error or a panic in the scan cannot leave them
+        // waiting for a band that never comes.
+        let _close = CloseOnDrop(&queue);
+        let pool: Vec<_> = (1..workers)
+            .map(|_| scope.spawn(|| band_worker(&ctx, &queue)))
+            .collect();
+        let scan = scan.run(&bounds, &queue)?;
+        metrics.partition_time = t2.elapsed();
+        observer.on_phase_end(Phase::Partition);
+
+        let t3 = Instant::now();
+        observer.on_phase_start(Phase::Peeling, m as u64);
+        queue.close(false);
+        let mut outputs = vec![band_worker(&ctx, &queue)];
+        outputs.extend(
+            pool.into_iter()
+                .map(|h| h.join().expect("band worker panicked")), // xtask:allow(no-panic-lib) Err here means a worker panicked; workers are panic-free by this same lint, and propagating a real panic is the correct failure mode
+        );
+        let mut peeled = Vec::with_capacity(nb);
+        let mut tallies = Vec::with_capacity(workers);
+        for output in outputs {
+            let (bands, tally) = output?;
+            peeled.extend(bands);
+            tallies.push(tally);
+        }
+        metrics.peeling_time = t3.elapsed();
+        observer.on_phase_end(Phase::Peeling);
+        Ok((scan, peeled, tallies))
+    })?;
+    metrics.histogram = histogram;
+    for tally in tallies.iter().chain([&scan.tally]) {
+        tally.add_to(&mut metrics);
+    }
+    metrics.scratch_bytes = scan.scratch_bytes + workers * BandScratch::memory_bytes(&index);
 
     // Stitch: merge per-band φ fragments and enforce the band invariant.
     let t4 = Instant::now();
     observer.on_phase_start(Phase::Stitch, m as u64);
     checkpoint(observer)?;
     let mut phi = vec![0u64; m];
-    for pairs in &per_band {
+    for pairs in &peeled {
         for &(e, v) in pairs {
             phi[e as usize] = v;
         }
     }
     let mut outcome = BandPartition {
         bounds,
-        band_of_edge: coarse.band,
+        band_of_edge: scan.band,
         stitch: StitchLog::default(),
     };
     let mut region: Vec<bool> = Vec::new();
@@ -309,392 +339,580 @@ fn band_bounds(supports: &[u64], num_bands: usize) -> Vec<u64> {
     bounds
 }
 
-/// Output of the coarse partition scan.
-struct CoarseOutcome {
+/// One band's work order, cut by the coarse scan as it leaves the band:
+/// everything the band's peel needs, so a worker reads nothing the scan
+/// still writes.
+struct BandJob {
+    /// The band's index.
+    band: u32,
+    /// Member edges, in the order the scan assigned them.
+    members: Vec<u32>,
+    /// Entry support of each member (parallel to `members`): its
+    /// butterfly support in `G_band`, the residual graph at band start.
+    entry: Vec<u64>,
+    /// The wedges the scan killed while in this band — exactly the
+    /// wedges whose band is this one.
+    wedges: Vec<u32>,
+    /// `(bloom, k)` for every bloom holding one of `wedges`, `k` being
+    /// the bloom's wedge count at band start.
+    blooms: Vec<(u32, u32)>,
+    /// Work estimate (members plus entry supports); the queue hands out
+    /// the largest waiting band first.
+    work: u64,
+}
+
+impl BandJob {
+    fn new(band: u32) -> BandJob {
+        BandJob {
+            band,
+            members: Vec::new(),
+            entry: Vec::new(),
+            wedges: Vec::new(),
+            blooms: Vec::new(),
+            work: 0,
+        }
+    }
+
+    fn add_member(&mut self, e: usize, entry: u64) {
+        self.members.push(e as u32);
+        self.entry.push(entry);
+        self.work += 1 + entry;
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.members.capacity() * 4
+            + self.entry.capacity() * 8
+            + self.wedges.capacity() * 4
+            + self.blooms.capacity() * 8
+    }
+}
+
+/// One thread's support-update tally: the count, plus per-bucket counts
+/// when the run collects an [`UpdateHistogram`]. Threads tally against
+/// the shared histogram's bucket map and the totals merge by addition.
+struct Tally {
+    updates: u64,
+    buckets: Vec<u64>,
+}
+
+impl Tally {
+    fn new(histogram: Option<&UpdateHistogram>) -> Tally {
+        Tally {
+            updates: 0,
+            buckets: histogram.map_or_else(Vec::new, |h| vec![0; h.counts().len()]),
+        }
+    }
+
+    #[inline]
+    fn record(&mut self, histogram: Option<&UpdateHistogram>, e: EdgeId) {
+        self.updates += 1;
+        if let Some(h) = histogram {
+            self.buckets[h.bucket(e)] += 1;
+        }
+    }
+
+    fn add_to(&self, metrics: &mut Metrics) {
+        metrics.support_updates += self.updates;
+        if let Some(h) = &mut metrics.histogram {
+            h.add_counts(&self.buckets);
+        }
+    }
+}
+
+/// What the coarse scan leaves behind once every band is released.
+struct ScanOutcome {
     /// Band index per edge.
     band: Vec<u32>,
-    /// Butterfly support of each edge in `G_band(e)` — the residual
-    /// graph at its band's start; the seed supports for phase 2.
-    start_supp: Vec<u64>,
-    /// Work estimate per band (edges + entry supports), used to order
-    /// bands largest-first for the phase-2 scheduler.
-    work: Vec<u64>,
     /// Support updates the scan performed.
-    updates: u64,
+    tally: Tally,
+    /// The scan's own state plus every band job it cut, in bytes.
+    scratch_bytes: usize,
 }
 
 /// The coarse bottom-up scan: for each threshold `t_p` in turn, run the
 /// peeling fixpoint in huge sub-rounds (everything at support ≤ `t_p`
-/// peels together) with BiT-BU#-style aggregated deltas. Supports are
-/// **exact** here (no clamping): the scan tracks true residual supports
-/// so each band's entry supports can be snapshotted for phase 2. Heavy
-/// sub-rounds fan their bloom traversals out across workers exactly as
-/// BiT-BU++/P does per batch — but there are only a handful of
-/// sub-rounds per band, so the fork/join cost is amortized thousands of
-/// times better.
-fn coarse_partition(
-    index: &mut BeIndex,
-    mut supp: Vec<u64>,
-    bounds: &[u64],
-    threads: usize,
-    observer: &dyn EngineObserver,
-    scratch_bytes: &mut usize,
-) -> Result<CoarseOutcome> {
-    let m = supp.len();
-    let nb = bounds.len() + 1;
-    let last = (nb - 1) as u32;
-    let mut band = vec![last; m];
-    let mut start_supp = vec![0u64; m];
-    let mut work = vec![0u64; nb];
-    let mut updates = 0u64;
-    // `queued[e]`: e has been claimed by some band (sticky).
-    let mut queued = vec![false; m];
-    // Lazy entry-support snapshots: `snap[e]` holds e's support at the
-    // start of band `snap_band[e] − 1`'s fixpoint, captured on the first
-    // delta that band applies to e (stamp 0 = never).
-    let mut snap = vec![0u64; m];
-    let mut snap_band = vec![0u32; m];
+/// peels together) with BiT-BU#-style aggregated deltas, inline on the
+/// calling thread. Supports are **exact** here (no clamping): the scan
+/// tracks true residual supports so each band's entry supports can be
+/// handed to its peel. It never writes the [`BeIndex`]; the wedge-alive
+/// bits, bloom sizes and residual-edge bits it evolves are its own.
+struct CoarseScan<'a> {
+    index: &'a BeIndex,
+    observer: &'a dyn EngineObserver,
+    histogram: Option<&'a UpdateHistogram>,
+    /// Exact residual supports.
+    supp: Vec<u64>,
+    /// Band index per edge; edges no threshold claims stay in the top
+    /// band.
+    band: Vec<u32>,
+    /// `queued[e]`: e has been claimed by some band (sticky).
+    queued: Vec<bool>,
+    /// `present[e]`: e is still in the residual graph.
+    present: Vec<bool>,
+    /// Lazy entry-support snapshots: `snap[e]` holds e's support at the
+    /// start of band `snap_band[e] − 1`'s fixpoint, captured on the first
+    /// delta that band applies to e (stamp 0 = never).
+    snap: Vec<u64>,
+    snap_band: Vec<u32>,
+    /// Liveness per wedge; a wedge dies with its first member.
+    alive: Vec<bool>,
+    /// Bloom wedge counts `k` as the scan evolves them.
+    k: Vec<u32>,
+    /// Stamp per bloom: `band + 1` once that band killed one of its
+    /// wedges, i.e. once the band job recorded the bloom's `k`.
+    seen: Vec<u32>,
+    /// Per-bloom killed-wedge counts of the current sub-round
+    /// (take-reset).
+    c: Vec<u32>,
+    touched_blooms: Vec<u32>,
+    /// Aggregated per-edge deltas of the current sub-round (take-reset).
+    delta: Vec<u64>,
+    touched_edges: Vec<u32>,
+    pending: Vec<EdgeId>,
+    batch: Vec<EdgeId>,
+    /// Edges assigned a band so far (progress).
+    assigned: u64,
+    tally: Tally,
+}
 
-    let mut c: Vec<u32> = vec![0; index.num_blooms() as usize];
-    let mut touched_blooms: Vec<u32> = Vec::new();
-    let mut delta = vec![0u64; m];
-    let mut touched_edges: Vec<u32> = Vec::new();
-    let mut pending: Vec<EdgeId> = Vec::new();
-    let mut batch: Vec<EdgeId> = Vec::new();
-    let mut worker_bufs: Vec<(Vec<u64>, Vec<u32>)> = Vec::new();
-    let mut assigned = 0u64;
+impl<'a> CoarseScan<'a> {
+    fn new(
+        index: &'a BeIndex,
+        supp: Vec<u64>,
+        observer: &'a dyn EngineObserver,
+        histogram: Option<&'a UpdateHistogram>,
+    ) -> CoarseScan<'a> {
+        let m = supp.len();
+        let nbl = index.num_blooms() as usize;
+        CoarseScan {
+            index,
+            observer,
+            histogram,
+            supp,
+            band: vec![0; m],
+            queued: vec![false; m],
+            present: (0..m).map(|e| index.in_index(EdgeId(e as u32))).collect(),
+            snap: vec![0; m],
+            snap_band: vec![0; m],
+            alive: (0..index.num_wedges())
+                .map(|w| index.wedge_alive(WedgeId(w)))
+                .collect(),
+            k: (0..nbl as u32).map(|b| index.bloom_k(BloomId(b))).collect(),
+            seen: vec![0; nbl],
+            c: vec![0; nbl],
+            touched_blooms: Vec::new(),
+            delta: vec![0; m],
+            touched_edges: Vec::new(),
+            pending: Vec::new(),
+            batch: Vec::new(),
+            assigned: 0,
+            tally: Tally::new(histogram),
+        }
+    }
 
-    for (p, &t_p) in bounds.iter().enumerate() {
-        let p = p as u32;
+    /// Scans every band in turn, pushing each band's job as soon as the
+    /// scan leaves it, the top band last.
+    fn run(mut self, bounds: &[u64], queue: &BandQueue) -> Result<ScanOutcome> {
+        let mut job_bytes = 0;
+        for (p, &t_p) in bounds.iter().enumerate() {
+            let job = self.scan_band(p as u32, t_p)?;
+            job_bytes += job.memory_bytes();
+            queue.push(job);
+        }
+        let top = self.top_band(bounds.len() as u32);
+        job_bytes += top.memory_bytes();
+        queue.push(top);
+        let m = self.supp.len();
+        let scratch_bytes =
+            job_bytes + m * (8 + 4 + 1 + 1 + 8 + 4 + 8) + self.alive.len() + self.k.len() * 12;
+        Ok(ScanOutcome {
+            band: self.band,
+            tally: self.tally,
+            scratch_bytes,
+        })
+    }
+
+    /// Runs the fixpoint to threshold `t_p`: band `p` is every edge it
+    /// removes.
+    fn scan_band(&mut self, p: u32, t_p: u64) -> Result<BandJob> {
         let stamp = p + 1;
+        let m = self.supp.len();
+        let mut job = BandJob::new(p);
         for e in 0..m {
-            if !queued[e] && supp[e] <= t_p {
-                queued[e] = true;
-                pending.push(EdgeId(e as u32));
+            if !self.queued[e] && self.supp[e] <= t_p {
+                self.queued[e] = true;
+                self.pending.push(EdgeId(e as u32));
             }
         }
-        while !pending.is_empty() {
-            checkpoint(observer)?;
-            std::mem::swap(&mut batch, &mut pending);
-            assigned += batch.len() as u64;
-            observer.on_phase_progress(Phase::Partition, assigned, m as u64);
-            for &e in &batch {
-                band[e.index()] = p;
+        while !self.pending.is_empty() {
+            checkpoint(self.observer)?;
+            std::mem::swap(&mut self.batch, &mut self.pending);
+            self.assigned += self.batch.len() as u64;
+            self.observer
+                .on_phase_progress(Phase::Partition, self.assigned, m as u64);
+            for &e in &self.batch {
+                let e = e.index();
+                self.band[e] = p;
                 // Entry support: the value before this band's first
                 // delta (the snapshot), or the current value if the
                 // band never touched it.
-                let s = if snap_band[e.index()] == stamp {
-                    snap[e.index()]
+                let entry = if self.snap_band[e] == stamp {
+                    self.snap[e]
                 } else {
-                    supp[e.index()]
+                    self.supp[e]
                 };
-                start_supp[e.index()] = s;
-                work[p as usize] += 1 + s;
+                job.add_member(e, entry);
             }
-            // Kill the sub-round's wedges, count C(B), settle twins
-            // with −(k−1) into the aggregation buffer (Algorithm 5
-            // lines 6–13, deltas aggregated as in BiT-BU#).
-            for &e in &batch {
-                for li in 0..index.links(e).len() {
-                    let w0 = WedgeId(index.links(e)[li]);
-                    if !index.wedge_alive(w0) {
-                        continue;
-                    }
-                    let b = index.wedge_bloom(w0);
-                    let k = index.bloom_k(b) as u64;
-                    let twin = index.wedge_twin(w0, e);
-                    index.kill_wedge(w0);
-                    if c[b.index()] == 0 {
-                        touched_blooms.push(b.0);
-                    }
-                    c[b.index()] += 1;
-                    if k >= 2 && index.in_index(twin) {
-                        if delta[twin.index()] == 0 {
-                            touched_edges.push(twin.0);
-                        }
-                        delta[twin.index()] += k - 1;
-                    }
-                }
-                index.remove_edge_links(e);
-            }
-            batch.clear();
-            // One traversal per touched bloom, −C(B) per surviving
-            // member; fanned out across workers when heavy.
-            let traversal_work: usize = touched_blooms
-                .iter()
-                .map(|&b| index.bloom_stored_wedges(BloomId(b)) as usize)
-                .sum();
-            if threads > 1 && traversal_work >= PAR_BATCH_MIN_WORK {
-                if worker_bufs.is_empty() {
-                    worker_bufs = (0..threads).map(|_| (vec![0u64; m], Vec::new())).collect();
-                    *scratch_bytes = threads * m * std::mem::size_of::<u64>();
-                }
-                std::thread::scope(|scope| {
-                    let index = &*index;
-                    let c = &c;
-                    let blooms = &touched_blooms;
-                    for (wi, (w_delta, w_touched)) in worker_bufs.iter_mut().enumerate() {
-                        scope.spawn(move || {
-                            accumulate_bloom_deltas(
-                                index, c, blooms, wi, threads, w_delta, w_touched,
-                            );
-                        });
-                    }
-                });
-                for (w_delta, w_touched) in &mut worker_bufs {
-                    for &e in w_touched.iter() {
-                        let d = std::mem::take(&mut w_delta[e as usize]);
-                        if delta[e as usize] == 0 {
-                            touched_edges.push(e);
-                        }
-                        delta[e as usize] += d;
-                    }
-                    w_touched.clear();
-                }
-            } else {
-                accumulate_bloom_deltas(
-                    index,
-                    &c,
-                    &touched_blooms,
-                    0,
-                    1,
-                    &mut delta,
-                    &mut touched_edges,
-                );
-            }
-            for &b in &touched_blooms {
-                let cb = std::mem::take(&mut c[b as usize]);
-                index.sub_bloom_k(BloomId(b), cb);
-            }
-            touched_blooms.clear();
+            self.kill_batch(stamp, &mut job);
+            self.traverse_blooms();
             // Exact (unclamped) apply; edges crossing the threshold
             // join the next sub-round.
-            for &te in &touched_edges {
+            for &te in &self.touched_edges {
                 let e = te as usize;
-                let d = std::mem::take(&mut delta[e]);
-                if d > 0 && index.in_index(EdgeId(te)) {
-                    if snap_band[e] != stamp {
-                        snap_band[e] = stamp;
-                        snap[e] = supp[e];
+                let d = std::mem::take(&mut self.delta[e]);
+                if d > 0 && self.present[e] {
+                    if self.snap_band[e] != stamp {
+                        self.snap_band[e] = stamp;
+                        self.snap[e] = self.supp[e];
                     }
-                    debug_assert!(supp[e] >= d, "coarse support underflow");
-                    supp[e] = supp[e].saturating_sub(d);
-                    updates += 1;
-                    if supp[e] <= t_p && !queued[e] {
-                        queued[e] = true;
-                        pending.push(EdgeId(te));
+                    debug_assert!(self.supp[e] >= d, "coarse support underflow");
+                    self.supp[e] = self.supp[e].saturating_sub(d);
+                    self.tally.record(self.histogram, EdgeId(te));
+                    if self.supp[e] <= t_p && !self.queued[e] {
+                        self.queued[e] = true;
+                        self.pending.push(EdgeId(te));
                     }
                 }
             }
-            touched_edges.clear();
+            self.touched_edges.clear();
         }
+        Ok(job)
     }
-    // Everything that survived every threshold is the top band; its
-    // residual supports are already exact.
-    for e in 0..m {
-        if !queued[e] {
-            start_supp[e] = supp[e];
-            work[last as usize] += 1 + supp[e];
-            assigned += 1;
-        }
-    }
-    observer.on_phase_progress(Phase::Partition, assigned, m as u64);
-    Ok(CoarseOutcome {
-        band,
-        start_supp,
-        work,
-        updates,
-    })
-}
 
-/// Per-band BE-Index slices: for every bloom, its stored wedge ids
-/// re-ordered by wedge band (descending), plus the matching sorted band
-/// values. A wedge's band is `min(band(e1), band(e2))` — exactly the
-/// band during which the coarse scan kills it — so the wedges alive at
-/// band `p`'s start are a *prefix* of the bloom's slice, found by one
-/// binary search. Band workers therefore traverse live wedges only,
-/// never paying for lower bands' tombstones.
-struct BandSlices {
-    /// `min(band(e1), band(e2))` per wedge.
-    wedge_band: Vec<u32>,
-    /// Slice ranges per bloom, length `B + 1`.
-    offsets: Vec<u32>,
-    /// Wedge ids grouped by bloom, band-descending within each bloom.
-    wedges: Vec<u32>,
-    /// The band values matching `wedges` (sorted descending per bloom).
-    bands: Vec<u32>,
-    /// Slice ranges per edge into [`BandSlices::ewedges`], length `m + 1`.
-    eoffsets: Vec<u32>,
-    /// Per edge `e`: the wedges of `links(e)` whose band equals
-    /// `band(e)` — the only links a band peel of `e` can ever act on
-    /// (a wedge's band is the min of its members', so no link has a
-    /// higher band, and lower-band links died in earlier bands). Hub
-    /// edges' link lists are dominated by long-dead low-band wedges;
-    /// pre-filtering here keeps phase 1 from rescanning them.
-    ewedges: Vec<u32>,
-}
-
-impl BandSlices {
-    fn build(index: &BeIndex, band: &[u32]) -> BandSlices {
-        let nw = index.num_wedges() as usize;
-        let nbl = index.num_blooms() as usize;
-        let mut wedge_band = vec![0u32; nw];
-        for (w, wb) in wedge_band.iter_mut().enumerate() {
-            let (e1, e2) = index.wedge_members(WedgeId(w as u32));
-            *wb = band[e1.index()].min(band[e2.index()]);
-        }
-        let mut offsets = vec![0u32; nbl + 1];
-        for b in 0..nbl {
-            offsets[b + 1] = offsets[b] + index.bloom_stored_wedges(BloomId(b as u32));
-        }
-        let mut wedges = vec![0u32; nw];
-        let mut bands = vec![0u32; nw];
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        // `b` is a bloom id used against three structures; an
-        // enumerate-over-offsets rewrite would only obscure that.
-        #[allow(clippy::needless_range_loop)]
-        for b in 0..nbl {
-            pairs.clear();
-            for w in index.bloom_wedges(BloomId(b as u32)) {
-                pairs.push((wedge_band[w.index()], w.0));
-            }
-            // Band descending, wedge id ascending within a band — a
-            // deterministic order so runs are reproducible.
-            pairs.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            let s = offsets[b] as usize;
-            for (i, &(bv, w)) in pairs.iter().enumerate() {
-                bands[s + i] = bv;
-                wedges[s + i] = w;
-            }
-        }
-        let ne = band.len();
-        let mut eoffsets = vec![0u32; ne + 1];
-        for e in 0..ne {
-            let cnt = index
-                .links(EdgeId(e as u32))
-                .iter()
-                .filter(|&&w| wedge_band[w as usize] == band[e])
-                .count();
-            eoffsets[e + 1] = eoffsets[e] + cnt as u32;
-        }
-        let mut ewedges = vec![0u32; eoffsets[ne] as usize];
-        for e in 0..ne {
-            let mut at = eoffsets[e] as usize;
-            for &w in index.links(EdgeId(e as u32)) {
-                if wedge_band[w as usize] == band[e] {
-                    ewedges[at] = w;
-                    at += 1;
+    /// Kills the sub-round's wedges into the band job, counts C(B) and
+    /// settles twins with −(k−1) into the aggregation buffer
+    /// (Algorithm 5 lines 6–13, deltas aggregated as in BiT-BU#).
+    fn kill_batch(&mut self, stamp: u32, job: &mut BandJob) {
+        let index = self.index;
+        for &e in &self.batch {
+            for &w in index.links(e) {
+                if !self.alive[w as usize] {
+                    continue;
+                }
+                self.alive[w as usize] = false;
+                job.wedges.push(w);
+                let b = index.wedge_bloom(WedgeId(w)).index();
+                let k = self.k[b];
+                if self.seen[b] != stamp {
+                    self.seen[b] = stamp;
+                    job.blooms.push((b as u32, k));
+                }
+                if self.c[b] == 0 {
+                    self.touched_blooms.push(b as u32);
+                }
+                self.c[b] += 1;
+                // A live wedge's twin is still present: its removal
+                // would have killed the wedge.
+                let twin = index.wedge_twin(WedgeId(w), e);
+                debug_assert!(self.present[twin.index()]);
+                if k >= 2 {
+                    bump(
+                        &mut self.delta,
+                        &mut self.touched_edges,
+                        twin,
+                        u64::from(k - 1),
+                    );
                 }
             }
+            self.present[e.index()] = false;
         }
-        BandSlices {
-            wedge_band,
-            offsets,
-            wedges,
-            bands,
-            eoffsets,
-            ewedges,
+        self.batch.clear();
+    }
+
+    /// One traversal per touched bloom, −C(B) per member of a surviving
+    /// wedge (both members of a live wedge are present), then the bloom
+    /// sizes drop by C(B).
+    fn traverse_blooms(&mut self) {
+        let index = self.index;
+        for &b in &self.touched_blooms {
+            let cb = std::mem::take(&mut self.c[b as usize]);
+            for w in index.bloom_wedges(BloomId(b)) {
+                if !self.alive[w.index()] {
+                    continue;
+                }
+                let (e1, e2) = index.wedge_members(w);
+                for other in [e1, e2] {
+                    debug_assert!(self.present[other.index()]);
+                    bump(
+                        &mut self.delta,
+                        &mut self.touched_edges,
+                        other,
+                        u64::from(cb),
+                    );
+                }
+            }
+            let k = &mut self.k[b as usize];
+            *k = k.saturating_sub(cb);
+        }
+        self.touched_blooms.clear();
+    }
+
+    /// The top band: everything that survived every threshold, with its
+    /// residual supports (already exact) and the wedges still alive.
+    fn top_band(&mut self, last: u32) -> BandJob {
+        let m = self.supp.len();
+        let mut job = BandJob::new(last);
+        for e in 0..m {
+            if !self.queued[e] {
+                self.band[e] = last;
+                job.add_member(e, self.supp[e]);
+            }
+        }
+        for (b, &k) in self.k.iter().enumerate() {
+            if k == 0 {
+                continue;
+            }
+            let before = job.wedges.len();
+            job.wedges.extend(
+                self.index
+                    .bloom_wedges(BloomId(b as u32))
+                    .filter(|w| self.alive[w.index()])
+                    .map(|w| w.0),
+            );
+            if job.wedges.len() > before {
+                job.blooms.push((b as u32, k));
+            }
+        }
+        self.assigned += job.members.len() as u64;
+        self.observer
+            .on_phase_progress(Phase::Partition, self.assigned, m as u64);
+        job
+    }
+}
+
+/// The hand-off from the coarse scan to the band workers: released band
+/// jobs behind one lock, with a condition variable for idle workers.
+/// Band data is published through the lock.
+#[derive(Default)]
+struct BandQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    /// Released bands no worker has taken yet.
+    jobs: Vec<BandJob>,
+    /// No band will be pushed any more.
+    closed: bool,
+    /// Some participant failed: nobody takes another band.
+    failed: bool,
+}
+
+impl BandQueue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        // A poisoned lock means a participant panicked; that panic
+        // resurfaces at the scope's join. Every update under the lock is
+        // one push, swap-remove or flag write, so the state is valid.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, job: BandJob) {
+        self.lock().jobs.push(job);
+        self.ready.notify_one();
+    }
+
+    /// Marks the queue closed — and failed, which stops every worker
+    /// after its current band — and wakes every waiting worker.
+    fn close(&self, failed: bool) {
+        let mut state = self.lock();
+        state.closed = true;
+        state.failed |= failed;
+        drop(state);
+        self.ready.notify_all();
+    }
+
+    /// Blocks until a band is waiting (the largest estimated work goes
+    /// first), or returns `None` once the queue is closed and drained or
+    /// failed.
+    fn pop(&self) -> Option<BandJob> {
+        let mut state = self.lock();
+        loop {
+            if state.failed {
+                return None;
+            }
+            let largest = (0..state.jobs.len())
+                .max_by_key(|&i| (state.jobs[i].work, Reverse(state.jobs[i].band)));
+            if let Some(i) = largest {
+                return Some(state.jobs.swap_remove(i));
+            }
+            if state.closed {
+                return None;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
+}
 
-    /// The links of `e` whose wedge band equals `e`'s own band — the
-    /// only wedges `e`'s removal during its band peel can still kill.
-    #[inline]
-    fn edge_wedges(&self, e: EdgeId) -> &[u32] {
-        &self.ewedges[self.eoffsets[e.index()] as usize..self.eoffsets[e.index() + 1] as usize]
-    }
+/// Closes its queue as failed when dropped.
+struct CloseOnDrop<'a>(&'a BandQueue);
 
-    /// The slice range holding bloom `b`'s wedges alive at band `p`'s
-    /// start: `(start, len)` into [`BandSlices::wedges`]. `len` is also
-    /// the bloom's wedge count `k` at that moment.
-    #[inline]
-    fn live_prefix(&self, b: BloomId, p: u32) -> (usize, usize) {
-        let s = self.offsets[b.index()] as usize;
-        let e = self.offsets[b.index() + 1] as usize;
-        let len = self.bands[s..e].partition_point(|&bv| bv >= p);
-        (s, len)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        (self.wedge_band.len()
-            + self.wedges.len()
-            + self.bands.len()
-            + self.offsets.len()
-            + self.eoffsets.len()
-            + self.ewedges.len())
-            * 4
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close(true);
     }
 }
 
 /// Read-only context shared by every band worker.
 struct BandContext<'a> {
     index: &'a BeIndex,
-    band: &'a [u32],
-    band_edges: &'a [Vec<u32>],
-    start_supp: &'a [u64],
-    slices: &'a BandSlices,
+    histogram: Option<&'a UpdateHistogram>,
+    /// Edges settled so far, across workers (progress).
     popped: AtomicU64,
     total: u64,
     observer: &'a dyn EngineObserver,
 }
 
+/// One band's peel output: the `(edge, φ)` pairs it settled.
+type BandPairs = Vec<(u32, u64)>;
+
+/// One band worker: peels bands off the queue until it is drained, and
+/// returns their `(edge, φ)` fragments with its update tally. A failed
+/// band fails the queue, so the other workers stop too.
+fn band_worker(ctx: &BandContext<'_>, queue: &BandQueue) -> Result<(Vec<BandPairs>, Tally)> {
+    let mut scratch = BandScratch::new(ctx);
+    let mut peeled = Vec::new();
+    while let Some(job) = queue.pop() {
+        match scratch.peel_band(job, ctx) {
+            Ok(pairs) => peeled.push(pairs),
+            Err(e) => {
+                queue.close(true);
+                return Err(e);
+            }
+        }
+    }
+    Ok((peeled, scratch.tally))
+}
+
 /// Partition-local scratch, allocated once per worker and reused across
-/// the bands it pulls. All per-edge/per-wedge/per-bloom state resets in
-/// O(touched) via stamps (`band + 1`) or take-lists — never an O(m)
-/// clear between bands.
+/// the bands it takes. Per-edge and per-wedge state resets between
+/// bands via the stamps [`live`] and [`gone`], never an O(m) clear.
 struct BandScratch {
     /// Working supports; only the current band's entries are live.
     supp: Vec<u64>,
     /// Aggregated per-edge deltas for the current batch (take-reset).
     delta: Vec<u64>,
-    /// Stamp per edge: `band + 1` once the band peel removed it.
-    removed: Vec<u32>,
-    /// Stamp per wedge: `band + 1` once killed within the band.
-    killed: Vec<u32>,
+    /// `live(p)` while an edge is a member of band `p` still in its
+    /// peel, `gone(p)` once peeled.
+    edge_state: Vec<u32>,
+    /// `live(p)` for band `p`'s wedges, `gone(p)` once killed.
+    wedge_state: Vec<u32>,
     /// Bloom wedge counts as the band evolves them.
     k_local: Vec<u32>,
-    /// Stamp per bloom: `band + 1` once `k_local` was initialized.
-    k_seen: Vec<u32>,
+    /// Position of each of the band's blooms in its job's bloom list.
+    slot: Vec<u32>,
     /// Per-bloom removed-wedge counts for the current batch (take-reset).
     c: Vec<u32>,
+    /// The band's wedges grouped by bloom: slot `s` holds
+    /// `by_bloom[bloom_start[s]..bloom_start[s + 1]]`.
+    bloom_start: Vec<u32>,
+    by_bloom: Vec<u32>,
     touched_blooms: Vec<u32>,
     touched_edges: Vec<u32>,
     batch: Vec<EdgeId>,
-    updates: u64,
+    tally: Tally,
+}
+
+/// Stamp of a band-`p` edge or wedge still in the band's peel.
+#[inline]
+fn live(p: u32) -> u32 {
+    2 * p + 1
+}
+
+/// Stamp of a band-`p` edge or wedge the band's peel removed.
+#[inline]
+fn gone(p: u32) -> u32 {
+    2 * p + 2
 }
 
 impl BandScratch {
-    fn new(m: usize, nw: usize, nbl: usize) -> BandScratch {
+    fn new(ctx: &BandContext<'_>) -> BandScratch {
+        let m = ctx.index.num_edges() as usize;
+        let nw = ctx.index.num_wedges() as usize;
+        let nbl = ctx.index.num_blooms() as usize;
         BandScratch {
             supp: vec![0; m],
             delta: vec![0; m],
-            removed: vec![0; m],
-            killed: vec![0; nw],
+            edge_state: vec![0; m],
+            wedge_state: vec![0; nw],
             k_local: vec![0; nbl],
-            k_seen: vec![0; nbl],
+            slot: vec![0; nbl],
             c: vec![0; nbl],
+            bloom_start: Vec::new(),
+            by_bloom: Vec::new(),
             touched_blooms: Vec::new(),
             touched_edges: Vec::new(),
             batch: Vec::new(),
-            updates: 0,
+            tally: Tally::new(ctx.histogram),
         }
     }
 
-    fn memory_bytes(m: usize, nw: usize, nbl: usize) -> usize {
-        m * 8 + m * 8 + m * 4 + nw * 4 + nbl * 12
+    /// The fixed per-worker footprint (the per-band grouping buffers
+    /// come on top, bounded by the band's job).
+    fn memory_bytes(index: &BeIndex) -> usize {
+        let m = index.num_edges() as usize;
+        m * (8 + 8 + 4) + index.num_wedges() as usize * 4 + index.num_blooms() as usize * 12
     }
 
-    /// Peels band `p` to completion: a full BiT-BU#-style batch peel
+    /// Groups the job's wedges by bloom (a counting sort over the job's
+    /// bloom list), marks them `live(p)` and seeds each bloom's `k`.
+    fn group_wedges(&mut self, job: &BandJob, index: &BeIndex) {
+        let n = job.blooms.len();
+        for (s, &(b, k)) in job.blooms.iter().enumerate() {
+            self.slot[b as usize] = s as u32;
+            self.k_local[b as usize] = k;
+        }
+        self.bloom_start.clear();
+        self.bloom_start.resize(n + 1, 0);
+        let stamp = live(job.band);
+        for &w in &job.wedges {
+            self.wedge_state[w as usize] = stamp;
+            let s = self.slot[index.wedge_bloom(WedgeId(w)).index()];
+            self.bloom_start[s as usize] += 1;
+        }
+        // Running ends, then a backwards fill turns each into its slot's
+        // start.
+        let mut end = 0;
+        for s in 0..n {
+            end += self.bloom_start[s];
+            self.bloom_start[s] = end;
+        }
+        self.bloom_start[n] = end;
+        self.by_bloom.clear();
+        self.by_bloom.resize(job.wedges.len(), 0);
+        for &w in &job.wedges {
+            let s = self.slot[index.wedge_bloom(WedgeId(w)).index()] as usize;
+            self.bloom_start[s] -= 1;
+            self.by_bloom[self.bloom_start[s] as usize] = w;
+        }
+    }
+
+    /// Peels one band to completion: a full BiT-BU#-style batch peel
     /// restricted to the band's edges, seeded from their entry supports.
     /// Returns `(edge, φ)` pairs for every edge of the band.
-    fn peel_band(&mut self, p: u32, ctx: &BandContext<'_>) -> Result<Vec<(u32, u64)>> {
-        let stamp = p + 1;
-        let members = &ctx.band_edges[p as usize];
-        for &e in members {
-            self.supp[e as usize] = ctx.start_supp[e as usize];
+    fn peel_band(&mut self, mut job: BandJob, ctx: &BandContext<'_>) -> Result<BandPairs> {
+        let (live, gone) = (live(job.band), gone(job.band));
+        for (&e, &s) in job.members.iter().zip(&job.entry) {
+            self.supp[e as usize] = s;
+            self.edge_state[e as usize] = live;
         }
-        let mut queue = BucketQueue::from_members(&self.supp, members);
-        let mut pairs: Vec<(u32, u64)> = Vec::with_capacity(members.len());
+        job.members.sort_unstable();
+        let mut queue = BucketQueue::from_members(&self.supp, &job.members);
+        self.group_wedges(&job, ctx.index);
+        let mut pairs: BandPairs = Vec::with_capacity(job.members.len());
 
         while let Some(level) = queue.pop_level(&self.supp, &mut self.batch) {
             checkpoint(ctx.observer)?;
@@ -704,170 +922,79 @@ impl BandScratch {
                 + self.batch.len() as u64;
             ctx.observer
                 .on_phase_progress(Phase::Peeling, done, ctx.total);
-            let batch = std::mem::take(&mut self.batch);
-            for &e in &batch {
+            // Phase 1: kill this batch's wedges (the band's own links),
+            // count C(B), settle twins with −(k−1), `k` taken at batch
+            // start. Only the band's own edges are tracked: higher bands
+            // are frozen context, lower bands are gone.
+            for &e in &self.batch {
                 pairs.push((e.0, level));
-            }
-            // Phase 1: kill this batch's wedges (pre-filtered to the
-            // band's own links), count C(B), settle twins with −(k−1).
-            // `k` is the bloom's wedge count at batch start, lazily
-            // initialized to the band-start prefix length on the
-            // bloom's first touch.
-            for &e in &batch {
-                for &wraw in ctx.slices.edge_wedges(e) {
-                    let w = WedgeId(wraw);
-                    if self.killed[w.index()] == stamp {
+                for &w in ctx.index.links(e) {
+                    if self.wedge_state[w as usize] != live {
                         continue;
                     }
-                    let b = ctx.index.wedge_bloom(w);
-                    if self.k_seen[b.index()] != stamp {
-                        self.k_seen[b.index()] = stamp;
-                        self.k_local[b.index()] = ctx.slices.live_prefix(b, p).1 as u32;
+                    self.wedge_state[w as usize] = gone;
+                    let b = ctx.index.wedge_bloom(WedgeId(w)).index();
+                    let k = self.k_local[b];
+                    if self.c[b] == 0 {
+                        self.touched_blooms.push(b as u32);
                     }
-                    let k = self.k_local[b.index()] as u64;
-                    let twin = ctx.index.wedge_twin(w, e);
-                    self.killed[w.index()] = stamp;
-                    if self.c[b.index()] == 0 {
-                        self.touched_blooms.push(b.0);
-                    }
-                    self.c[b.index()] += 1;
-                    // Only the band's own edges are tracked: higher
-                    // bands are frozen context, lower bands are gone.
-                    if k >= 2 && ctx.band[twin.index()] == p && self.removed[twin.index()] != stamp
-                    {
-                        if self.delta[twin.index()] == 0 {
-                            self.touched_edges.push(twin.0);
-                        }
-                        self.delta[twin.index()] += k - 1;
+                    self.c[b] += 1;
+                    let twin = ctx.index.wedge_twin(WedgeId(w), e);
+                    if k >= 2 && self.edge_state[twin.index()] == live {
+                        bump(
+                            &mut self.delta,
+                            &mut self.touched_edges,
+                            twin,
+                            u64::from(k - 1),
+                        );
                     }
                 }
-                self.removed[e.index()] = stamp;
+                self.edge_state[e.index()] = gone;
             }
-            self.batch = batch;
-            // Phase 2: one traversal per touched bloom, −C(B) per
-            // surviving tracked member. Only wedges whose min-band is
-            // exactly `p` can hold a tracked (band-`p`) edge — wedges
-            // further up the band-descending slice are pure frozen
-            // context — so the traversal walks just the exact-band tail
-            // of the live prefix, skipping the higher-band wedges that
-            // dominate low bands' blooms.
-            for i in 0..self.touched_blooms.len() {
-                let b = BloomId(self.touched_blooms[i]);
-                let cb = std::mem::take(&mut self.c[b.index()]) as u64;
-                let (s, len) = ctx.slices.live_prefix(b, p);
-                let own = s + ctx.slices.bands[s..s + len].partition_point(|&bv| bv > p);
-                for &wraw in &ctx.slices.wedges[own..s + len] {
-                    let w = WedgeId(wraw);
-                    if self.killed[w.index()] == stamp {
+            // Phase 2: one traversal per touched bloom over the band's
+            // own wedges, −C(B) per surviving tracked member. Wedges of
+            // higher bands hold no tracked edge, so they are never
+            // visited.
+            for &b in &self.touched_blooms {
+                let b = b as usize;
+                let cb = std::mem::take(&mut self.c[b]);
+                let s = self.slot[b] as usize;
+                let own = self.bloom_start[s] as usize..self.bloom_start[s + 1] as usize;
+                for &w in &self.by_bloom[own] {
+                    if self.wedge_state[w as usize] != live {
                         continue;
                     }
-                    let (e1, e2) = ctx.index.wedge_members(w);
+                    let (e1, e2) = ctx.index.wedge_members(WedgeId(w));
                     for other in [e1, e2] {
-                        if ctx.band[other.index()] == p && self.removed[other.index()] != stamp {
-                            if self.delta[other.index()] == 0 {
-                                self.touched_edges.push(other.0);
-                            }
-                            self.delta[other.index()] += cb;
+                        if self.edge_state[other.index()] == live {
+                            bump(
+                                &mut self.delta,
+                                &mut self.touched_edges,
+                                other,
+                                u64::from(cb),
+                            );
                         }
                     }
                 }
-                let k = &mut self.k_local[b.index()];
-                *k = k.saturating_sub(cb as u32);
+                self.k_local[b] = self.k_local[b].saturating_sub(cb);
             }
             self.touched_blooms.clear();
             // Phase 3: one merged clamped write per affected edge.
-            for i in 0..self.touched_edges.len() {
-                let te = self.touched_edges[i];
+            for &te in &self.touched_edges {
                 let e = te as usize;
                 let d = std::mem::take(&mut self.delta[e]);
-                if d > 0 && self.removed[e] != stamp && self.supp[e] > level {
+                if d > 0 && self.edge_state[e] == live && self.supp[e] > level {
                     let old = self.supp[e];
                     let new = level.max(old.saturating_sub(d));
                     self.supp[e] = new;
                     queue.decrease(EdgeId(te), old, new);
-                    self.updates += 1;
+                    self.tally.record(ctx.histogram, EdgeId(te));
                 }
             }
             self.touched_edges.clear();
         }
         Ok(pairs)
     }
-}
-
-/// One band's peel output: the `(edge, φ)` pairs it settled.
-type BandPairs = Vec<(u32, u64)>;
-
-/// What one phase-2 worker hands back: its peeled bands (tagged by band
-/// index) plus its scratch's support-update count.
-type WorkerOutput = Result<(Vec<(u32, BandPairs)>, u64)>;
-
-/// Phase 2 driver: workers pull whole bands (largest estimated work
-/// first) off a shared atomic counter and peel them with their own
-/// [`BandScratch`]; no synchronization happens inside a band. Returns
-/// the per-band `(edge, φ)` fragments, the summed support updates, and
-/// the scratch footprint.
-fn peel_bands(
-    ctx: &BandContext<'_>,
-    work: &[u64],
-    threads: usize,
-) -> Result<(Vec<BandPairs>, u64, usize)> {
-    let nb = work.len();
-    let m = ctx.band.len();
-    let nw = ctx.index.num_wedges() as usize;
-    let nbl = ctx.index.num_blooms() as usize;
-    let mut order: Vec<u32> = (0..nb as u32).collect();
-    order.sort_by_key(|&p| (std::cmp::Reverse(work[p as usize]), p));
-    let next = AtomicUsize::new(0);
-    let t = threads.max(1).min(nb.max(1));
-
-    let mut per_band: Vec<BandPairs> = vec![Vec::new(); nb];
-    let mut updates = 0u64;
-    let worker = |scratch: &mut BandScratch| -> Result<Vec<(u32, BandPairs)>> {
-        let mut out = Vec::new();
-        loop {
-            // Relaxed: the counter only hands out disjoint indices; band
-            // results travel through the join barrier, not this atomic.
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= order.len() {
-                return Ok(out);
-            }
-            let p = order[i];
-            let pairs = scratch.peel_band(p, ctx)?;
-            out.push((p, pairs));
-        }
-    };
-
-    if t <= 1 {
-        let mut scratch = BandScratch::new(m, nw, nbl);
-        for (p, pairs) in worker(&mut scratch)? {
-            per_band[p as usize] = pairs;
-        }
-        updates += scratch.updates;
-    } else {
-        let results: Vec<WorkerOutput> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..t)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut scratch = BandScratch::new(m, nw, nbl);
-                        let out = worker(&mut scratch)?;
-                        Ok((out, scratch.updates))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("band worker panicked")) // xtask:allow(no-panic-lib) Err here means a worker panicked; workers are panic-free by this same lint, and propagating a real panic is the correct failure mode
-                .collect()
-        });
-        for r in results {
-            let (out, u) = r?;
-            for (p, pairs) in out {
-                per_band[p as usize] = pairs;
-            }
-            updates += u;
-        }
-    }
-    Ok((per_band, updates, t * BandScratch::memory_bytes(m, nw, nbl)))
 }
 
 #[cfg(test)]
@@ -879,7 +1006,8 @@ mod tests {
 
     /// BiT-BU++2P without the band audit.
     fn two_phase(g: &BipartiteGraph, threads: usize, num_bands: usize) -> (Decomposition, Metrics) {
-        let (d, m, _) = bit_bu_pp_2p_run(g, Threads(threads), num_bands, &NoopObserver).unwrap();
+        let (d, m, _) =
+            bit_bu_pp_2p_with_outcome(g, Threads(threads), num_bands, &NoopObserver).unwrap();
         (d, m)
     }
 

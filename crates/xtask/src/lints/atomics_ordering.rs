@@ -1,15 +1,16 @@
 //! **atomics-ordering-audit** — `Ordering::Relaxed` and
 //! `Ordering::SeqCst` need a written justification.
 //!
-//! The partition engine's band counter and the observers' progress
-//! counters are correct with `Relaxed` only because of arguments that
-//! live outside the type system (values are self-contained, or a later
-//! synchronization point orders them). When such an argument is missing
-//! the reader cannot tell a deliberate choice from a guess — and
-//! `SeqCst` is just as suspect in the other direction: it usually means
-//! "I didn't think about it". The audit requires a comment on the same
-//! line or within the three lines above each use. `Acquire`/`Release`
-//! pairs encode their intent in the type of access and are not audited.
+//! The parallel engines' progress counters and the observers'
+//! cancellation flags are correct with `Relaxed` only because of
+//! arguments that live outside the type system (values are
+//! self-contained, or a later synchronization point orders them). When
+//! such an argument is missing the reader cannot tell a deliberate
+//! choice from a guess — and `SeqCst` is just as suspect in the other
+//! direction: it usually means "I didn't think about it". The audit
+//! requires a comment on the same line or within the three lines above
+//! each use. `Acquire`/`Release` pairs encode their intent in the type
+//! of access and are not audited.
 
 use crate::lexer::find_token;
 use crate::lints::{Diagnostic, Lint};

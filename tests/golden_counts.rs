@@ -2,13 +2,15 @@
 //! the exact `support_updates` and the exact `iterations` on a fixed
 //! set of graphs. The numbers were recorded from the per-variant peel
 //! loops that preceded the shared peel kernel, so any change to the
-//! kernel that moves a single support write shows up here.
+//! kernel that moves a single support write shows up here. BiT-BU++2P
+//! is pinned separately, with its band bounds and band assignment, at
+//! two band counts and four thread counts.
 //!
 //! Relational invariants between the variants (§V-B's ablation) are
 //! asserted alongside the pins.
 
 use bitruss::graph::fnv::fnv1a;
-use bitruss::{decompose, Algorithm, BipartiteGraph, GraphBuilder, Metrics, Threads};
+use bitruss::{decompose, Algorithm, BipartiteGraph, GraphBuilder, Metrics, NoopObserver, Threads};
 
 /// The engine configurations the pins cover, in table column order.
 fn lineup() -> Vec<Algorithm> {
@@ -226,6 +228,130 @@ fn ablation_relations_hold() {
                 par.support_updates, hybrid.support_updates,
                 "{name} threads {t}"
             );
+        }
+    }
+}
+
+/// BiT-BU++2P pin: `(φ digest, support_updates, band bounds, band digest)`,
+/// the band digest being FNV-1a over `band_of_edge` as little-endian
+/// `u32`s.
+type TwoPhasePin = (u64, u64, &'static [u64], u64);
+
+/// BiT-BU++2P pins per graph at `[DEFAULT_NUM_BANDS, 3]` bands, recorded
+/// from the engine whose coarse scan finished (and fanned its sub-rounds
+/// out) before any band peel started. Every value is thread-independent.
+const GOLDEN_2P: &[(&str, [TwoPhasePin; 2])] = &[
+    (
+        "fig1",
+        [
+            (0x8c46231e4a2d9c44, 1, &[0, 1, 2], 0xd6043bb0ceb20034),
+            (0x8c46231e4a2d9c44, 1, &[1, 2], 0x300b422cb3dba165),
+        ],
+    ),
+    (
+        "uniform-1",
+        [
+            (
+                0x8834259a974790e2,
+                266,
+                &[1, 2, 4, 5, 6, 7, 8, 9, 10, 11],
+                0xcb97f0dd89b98605,
+            ),
+            (0x8834259a974790e2, 219, &[5, 8], 0x09bd80efa0653705),
+        ],
+    ),
+    (
+        "uniform-2",
+        [
+            (
+                0x95dee4ab8ab56f40,
+                274,
+                &[2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14],
+                0x7e017cfaf28a0e76,
+            ),
+            (0x95dee4ab8ab56f40, 266, &[6, 10], 0x09bd80efa0653705),
+        ],
+    ),
+    (
+        "uniform-3",
+        [
+            (
+                0xa99dcf50972c2c04,
+                333,
+                &[1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+                0xf35f9b20f5ff4a45,
+            ),
+            (0xa99dcf50972c2c04, 285, &[5, 9], 0x09bd80efa0653705),
+        ],
+    ),
+    (
+        "chung-lu-1",
+        [
+            (
+                0xdc7e06f8f15020e5,
+                26853,
+                &[
+                    53, 78, 99, 119, 139, 159, 181, 199, 226, 248, 280, 319, 367, 423, 532,
+                ],
+                0x10332f92088499d1,
+            ),
+            (0xdc7e06f8f15020e5, 54106, &[145, 270], 0x1c67e06ca34948a5),
+        ],
+    ),
+    (
+        "chung-lu-2",
+        [
+            (
+                0x8b104ceb469f28df,
+                25932,
+                &[
+                    52, 82, 104, 127, 149, 171, 191, 218, 245, 274, 306, 343, 392, 466, 586,
+                ],
+                0x6789b9a1b9212132,
+            ),
+            (0x8b104ceb469f28df, 58104, &[155, 295], 0x1c67e06ca34948a5),
+        ],
+    ),
+    (
+        "chung-lu-3",
+        [
+            (
+                0x18aa5dd6014b1bb3,
+                27094,
+                &[
+                    51, 75, 98, 119, 137, 160, 179, 203, 226, 247, 278, 318, 362, 436, 543,
+                ],
+                0x6c970c117bb2f807,
+            ),
+            (0x18aa5dd6014b1bb3, 54459, &[145, 268], 0x1c67e06ca34948a5),
+        ],
+    ),
+];
+
+#[test]
+fn two_phase_pins_hold_at_every_thread_count() {
+    use bitruss::decomposition::{bit_bu_pp_2p_with_outcome, DEFAULT_NUM_BANDS};
+    let graphs = graphs();
+    assert_eq!(GOLDEN_2P.len(), graphs.len());
+    for ((name, g), (pinned_name, pins)) in graphs.iter().zip(GOLDEN_2P) {
+        assert_eq!(name, pinned_name);
+        for (bands, &(digest, updates, bounds, band_digest)) in
+            [DEFAULT_NUM_BANDS, 3].into_iter().zip(pins)
+        {
+            for t in [1, 2, 3, 8] {
+                let (d, m, outcome) =
+                    bit_bu_pp_2p_with_outcome(g, Threads(t), bands, &NoopObserver).unwrap();
+                let at = format!("{name} bands {bands} threads {t}");
+                assert_eq!(phi_digest(&d.phi), digest, "{at}: φ digest");
+                assert_eq!(m.support_updates, updates, "{at}: support_updates");
+                assert_eq!(outcome.bounds, bounds, "{at}: bounds");
+                let band_bytes: Vec<u8> = outcome
+                    .band_of_edge
+                    .iter()
+                    .flat_map(|p| p.to_le_bytes())
+                    .collect();
+                assert_eq!(fnv1a(&band_bytes), band_digest, "{at}: band digest");
+            }
         }
     }
 }

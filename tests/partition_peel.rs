@@ -11,7 +11,9 @@
 //!    its migration (which a correct build never needs).
 //! 3. **Cancellation** — cancelling mid-phase-2 surfaces
 //!    `Err(Cancelled)` out of every concurrently peeling band worker,
-//!    never a partial result, at whatever point the poll lands.
+//!    never a partial result, at whatever point the poll lands; and
+//!    cancelling during the coarse scan, while band workers wait on the
+//!    job queue, returns `Err(Cancelled)` instead of hanging.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -171,4 +173,77 @@ fn observer_sees_partition_and_stitch_phases() {
     let pos = |p| events.iter().position(|&(ph, s)| ph == p && s).unwrap();
     assert!(pos(Phase::Partition) < pos(Phase::Peeling));
     assert!(pos(Phase::Peeling) < pos(Phase::Stitch));
+}
+
+/// Observer that cancels on the `after`-th poll inside
+/// [`Phase::Partition`] and stays cancelled from then on.
+struct CancelInPartition {
+    partition: AtomicBool,
+    fired: AtomicBool,
+    polls: AtomicU64,
+    after: u64,
+}
+
+impl EngineObserver for CancelInPartition {
+    fn on_phase_start(&self, phase: Phase, _total: u64) {
+        if phase == Phase::Partition {
+            self.partition.store(true, Ordering::SeqCst);
+        }
+    }
+
+    fn on_phase_end(&self, phase: Phase) {
+        if phase == Phase::Partition {
+            self.partition.store(false, Ordering::SeqCst);
+        }
+    }
+
+    fn is_cancelled(&self) -> bool {
+        if self.fired.load(Ordering::SeqCst) {
+            return true;
+        }
+        let fire = self.partition.load(Ordering::SeqCst)
+            && self.polls.fetch_add(1, Ordering::SeqCst) >= self.after;
+        if fire {
+            self.fired.store(true, Ordering::SeqCst);
+        }
+        fire
+    }
+}
+
+#[test]
+fn cancellation_during_partition_never_hangs() {
+    // Early polls land while the first bands are still being scanned,
+    // so band workers sit idle on the job queue; later ones race the
+    // scan against workers peeling released bands. Each run is watched:
+    // a worker left waiting would hang the run, which fails the test
+    // instead of the suite.
+    for threads in [2usize, 4] {
+        for after in [0u64, 1, 2, 3, 5, 8, 13] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let g = bitruss::workloads::powerlaw::chung_lu(70, 70, 900, 1.9, 1.9, 42);
+                let obs = CancelInPartition {
+                    partition: AtomicBool::new(false),
+                    fired: AtomicBool::new(false),
+                    polls: AtomicU64::new(0),
+                    after,
+                };
+                let run = bit_bu_pp_2p_with_outcome(
+                    &g,
+                    Threads(threads),
+                    bitruss::decomposition::DEFAULT_NUM_BANDS,
+                    &obs,
+                );
+                let _ = tx.send((obs.fired.load(Ordering::SeqCst), run.map(|_| ())));
+            });
+            let (fired, run) = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("threads {threads} after {after}: run hung"));
+            assert!(fired, "threads {threads} after {after}: never cancelled");
+            assert!(
+                matches!(run, Err(bitruss::graph::Error::Cancelled)),
+                "threads {threads} after {after}: {run:?}"
+            );
+        }
+    }
 }
